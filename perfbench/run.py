@@ -6,10 +6,11 @@
 Each section (train-hep, serve-climate, sim-fleet) runs in a process of
 its own. The processes are set up one after another, then take turns
 running one slice each, for as many turns as fit in ``--seconds`` on a
-2-core host (and at least ``MIN_CYCLES``, so the open loop has over 1,000
-requests). The host's speed drifts by up to 2x over tens of seconds;
+2-core host (and at least ``MIN_CYCLES``, so the open loop has 900
+requests or more). The host's speed drifts by up to 2x over tens of seconds;
 taking turns makes every section sample the whole run instead of one
-stretch of it. Every
+stretch of it, and each timed sample is divided by a host speed factor
+measured next to it (``common.host_factor``). Every
 end-to-end metric is reported on every workload; the section the
 workload names is set up several times, and ``setup_s`` is the median of
 those set-ups and ``peak_rss_mb`` the peak of its process.
@@ -43,7 +44,8 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 sys.path.insert(0, str(HERE))
 
-from spec import END_TO_END, PER_LAYER, REPORTED, SECTIONS  # noqa: E402
+from spec import (END_TO_END, PER_LAYER, REPORTED, SECTIONS,  # noqa: E402
+                  WORKLOADS)
 
 #: one section process runs at a time, with two BLAS threads: the host's
 #: two cores
@@ -52,8 +54,8 @@ SETUP_REPEATS = 3
 #: one turn of all three sections takes about this long on a 2-core
 #: host; --seconds sets the number of turns through it, so the counts a
 #: run reports repeat exactly
-TURN_S = 3.4
-#: at least this many turns, so the open loop has over 1,000 requests
+TURN_S = 4.5
+#: at least this many turns, so the open loop has 900 requests or more
 MIN_CYCLES = 6
 SMOKE_CYCLES = 2
 TIMEOUT = 170.0
@@ -150,7 +152,8 @@ def _measure(args, work: Path) -> tuple:
 def main() -> int:
     p = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
-    p.add_argument("--workload", required=True, choices=SECTIONS)
+    p.add_argument("--workload", required=True,
+                   choices=[w["name"] for w in WORKLOADS])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--trace", type=int, choices=(0, 1), required=True)
@@ -202,10 +205,11 @@ def main() -> int:
         "src_digest": _src_digest(), "host": own["host"],
         "threads": THREADS, "probes": probes, "checks": checks,
         "reported": reported,
-        "sections": {s: {"info": r["info"], "peak_rss_mb": r["peak_rss_mb"]}
+        "sections": {s: {"info": r["info"], "peak_rss_mb": r["peak_rss_mb"],
+                         "setup_s": r["e2e"]["setup_s"]["value"]}
                      for s, r in results.items()},
         "spread": {n: {k: detail[n].get(k) for k in
-                       ("n", "median", "q1", "q3")} for n, _ in names},
+                       ("n", "median", "q1", "q3", "raw")} for n, _ in names},
     }
     moves = {m["name"]: m for m in PER_LAYER} if args.trace else {}
     for n, u in names:

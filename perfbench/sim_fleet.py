@@ -5,10 +5,9 @@ engine's plain, cached and multi-model classes at the tier-2 configs,
 and the event engine on a config only it runs (multi-model, cost-aware
 admission, EDF launch order). All four are sequential Python scheduling
 work. A slice is one round: every class run twice back to back, on the
-same traces every time, drawn from the run's seed. The host's neighbours
-only ever slow a run down, so a class's rate is taken from its fastest
-run (the median is kept in the provenance line), and every run must
-reproduce the first bit for bit.
+same traces every time, drawn from the run's seed. A class's rate is the
+median over its runs in nominal-host seconds (``common.host_factor``),
+and every run must reproduce the first bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from time import perf_counter
 
 import numpy as np
 
-from common import child_seed, metric, scalar
+from common import child_seed, host_factor, metric, raw_of, scalar
 from repro.serve import (
     BatchingPolicy,
     ModelMix,
@@ -34,8 +33,8 @@ N_REPLICAS = 64
 POLICY = BatchingPolicy(max_batch=32)
 MAX_QUEUE = 128
 #: requests per run: array classes, then the event class
-N_ARRAY = 100_000
-N_EVENT = 12_500
+N_ARRAY = 60_000
+N_EVENT = 7_500
 #: back-to-back runs of each class in a round: the first comes after the
 #: other sections' turns with cold caches, the second does not
 RUNS_PER_ROUND = 2
@@ -44,6 +43,8 @@ N_SLICE = 10_000
 CLASSES = ("plain", "cached", "multi", "event")
 ARRAY_CLASSES = CLASSES[:3]
 LOADS = {"plain": 1.05, "cached": 2.0, "multi": 1.05, "event": 1.05}
+#: the host speed reference the run times are normalised by
+REF = "dict"
 POPULARITY = ZipfPopularity(alpha=1.1, n_keys=4096)
 
 
@@ -117,6 +118,8 @@ class _Rounds:
             # the event loop's own Profiler hook points, with parents
             self.profiler = SpanProfiler(rec)
         self.rps = {cls: [] for cls in CLASSES}
+        #: per run, the host factor taken just before it
+        self.factors = {cls: [] for cls in CLASSES}
         self.digests = {cls: set() for cls in CLASSES}
         self.first = {}
         self.conserves = True
@@ -132,6 +135,7 @@ class _Rounds:
     def _one(self, cls: str) -> None:
         if self.rec is not None:
             self.rec.rid = (cls, len(self.rps[cls]))
+        self.factors[cls].append(host_factor(REF))
         t0 = perf_counter()
         stats = _run(self.sims[cls], cls, self.rates[cls],
                      self.sizes[cls], self.trace_seed,
@@ -187,10 +191,13 @@ class Section:
         self.seed = seed
         self.work = work
         self.setup_times = []
+        self.setup_factors = []
         for _ in range(setups):
+            f0 = host_factor(REF)
             t0 = perf_counter()
             self.hep, self.climate, self.sims, self.rates = _setup()
             self.setup_times.append(perf_counter() - t0)
+            self.setup_factors.append((f0 + host_factor(REF)) / 2.0)
         if smoke:
             self.sizes = {cls: 3_000 for cls in CLASSES}
             self.n_slice = 1_000
@@ -213,12 +220,14 @@ class Section:
 
     def finish(self, probes) -> dict:
         base = self.base
-        e2e = {"setup_s": metric(self.setup_times, "s")}
+        e2e = {"setup_s": raw_of(metric(
+            np.array(self.setup_times) / np.array(self.setup_factors), "s"),
+            self.setup_times)}
         for cls in CLASSES:
-            # the fastest run: the host's neighbours only ever slow a run
-            # down (the median is kept in the provenance line)
-            e2e[f"sim_{cls}_rps"] = metric(base.rps[cls], "1/s",
-                                           value=max(base.rps[cls]))
+            # in requests per nominal-host second (common.host_factor)
+            rps = np.array(base.rps[cls])
+            e2e[f"sim_{cls}_rps"] = raw_of(
+                metric(rps * np.array(base.factors[cls]), "1/s"), rps)
         checks = {
             "sim.conservation_at_full_size": base.conserves,
             "sim.rounds_repeat_bitwise": all(

@@ -16,26 +16,29 @@ import json
 
 SECTIONS = ("train-hep", "serve-climate", "sim-fleet")
 
+#: Every run executes all three sections (see run.py); a workload names
+#: the section whose set-up is repeated and bounded (``setup_s``,
+#: ``peak_rss_mb``). sim-fleet runs in both workloads, with all its
+#: metrics, but is not a workload of its own: at ~35-50 s an untraced
+#: run and ~80 s a traced one, a third workload would put a campaign of 22
+#: runs per workload past an hour on a slowed-down host.
 WORKLOADS = [
     {"name": "train-hep",
-     "why": "HEP net f16 3x64x64, 2 groups x batch 32, ADAM on per-layer "
-            "PSs; closed loop, 1 client; conv/pool/ADAM-bound, no cache or "
-            "simulator; data from --seed; 1 process, 2 BLAS threads"},
+     "why": "sets up HEP training (f16 3x64x64, 2 groups x batch 32, ADAM "
+            "PSs) 3x; each run also runs the serve and 64-replica sim "
+            "sections; closed loop, 1 client; data from --seed; 2 BLAS "
+            "threads"},
     {"name": "serve-climate",
-     "why": "small ClimateNet via registry, LRU-96, batch 8; open loop "
-            "Poisson 200 req/s, Zipf-1.1 over 128 inputs; closed loop 1 "
-            "client, cache off; repeats make hashing and cache run; 2 threads"},
-    {"name": "sim-fleet",
-     "why": "64-replica simulator: array plain 1.05x, cached 2x, multi "
-            "90/10 1.05x, event edf+cost-aware 1.05x; closed loop, 1 "
-            "client; Python scheduling only; traces from --seed; 1 thread"},
+     "why": "sets up small ClimateNet via registry, LRU-96 3x; open loop "
+            "Poisson 120 req/s, Zipf-1.1 over 128 inputs from --seed, closed "
+            "loop 1 client; also runs train and sim sections; 2 threads"},
 ]
 
 #: (name, unit, better, bound). A 2-core host shared with other tenants
-#: drifts by up to 2x in speed over tens of seconds to minutes, so
-#: run-to-run spreads of the timings reach 0.1-0.3 even with the
-#: turn-taking and fastest-sample estimators of run.py; their bounds sit
-#: at the ceiling of 0.25. Memory and goodput repeat more closely.
+#: drifts by up to 2x in speed over seconds to minutes; the timings are
+#: medians of samples normalised by a host speed reference taken next to
+#: each (common.host_factor), and their bounds sit at the ceiling of 0.25.
+#: Memory and goodput repeat more closely.
 END_TO_END = [
     ("setup_s", "s", "lower", 0.25),
     ("peak_rss_mb", "MiB", "lower", 0.15),
@@ -170,7 +173,7 @@ def benchmark_json() -> dict:
     return {
         "command": ["python3", "perfbench/run.py"],
         "paths": ["perfbench"],
-        "run_seconds": 20,
+        "run_seconds": 32,
         "workloads": WORKLOADS,
         "end_to_end": [{"name": n, "unit": u, "better": b, "bound": bd}
                        for n, u, b, bd in END_TO_END],

@@ -18,7 +18,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 sys.path[:0] = [str(ROOT / "src"), str(HERE)]
 
-from spec import END_TO_END, PER_LAYER, SECTIONS, benchmark_json  # noqa
+from spec import END_TO_END, PER_LAYER, WORKLOADS, benchmark_json  # noqa
 from tracing import Recorder  # noqa: E402
 
 
@@ -33,11 +33,11 @@ def _run(workload: str, trace: int, cwd: Path = ROOT):
 def test_benchmark_json_matches_spec():
     on_disk = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert on_disk == benchmark_json()
-    assert [w["name"] for w in on_disk["workloads"]] == list(SECTIONS)
+    assert on_disk["workloads"] == WORKLOADS
     assert any(m["name"] == "setup_s" for m in on_disk["end_to_end"])
 
 
-@pytest.mark.parametrize("workload", SECTIONS)
+@pytest.mark.parametrize("workload", [w["name"] for w in WORKLOADS])
 def test_traced_smoke_run(workload):
     out = _run(workload, 1)
     assert out.returncode == 0, out.stderr

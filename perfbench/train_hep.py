@@ -6,7 +6,7 @@ on one Python thread and its losses repeat bit for bit. Conv backward,
 max-pool, the ADAM/PS update and the loss do nearly all the work; there
 is no cache and no simulator.
 
-A slice is one ``HybridTrainer.run`` of one iteration per group on a
+A slice is one ``HybridTrainer.run`` of two iterations per group on a
 trainer that persists across slices. The traced pass trains a second,
 identical trainer through the same slices.
 """
@@ -18,7 +18,8 @@ from time import perf_counter
 
 import numpy as np
 
-from common import child_seed, finite, metric, scalar
+from common import (child_seed, finite, host_factor, metric, raw_of,
+                    scalar)
 from repro.data.hep import make_hep_dataset
 from repro.distributed import HybridTrainer
 from repro.flops import count_net
@@ -35,7 +36,9 @@ IMAGE = 64
 INPUT = (3, IMAGE, IMAGE)
 N_EVENTS = 240
 #: iterations per group in one slice
-SLICE_ITERATIONS = 1
+SLICE_ITERATIONS = 2
+#: the host speed reference the step times are normalised by
+REF = "conv"
 #: the first loss of an untrained 2-class net sits near ln 2
 FIRST_LOSS_TOL = 0.05
 
@@ -99,19 +102,25 @@ class _Training:
                 rec.wrap(ps, "push", "train.ps_server")
                 rec.wrap(ps.optimizer, "step", "train.adam")
         self.steps = []
+        #: the host factor of each step: the mean of those taken just
+        #: before and just after its slice
+        self.factors = []
         self.losses = []
         self.elapsed = 0.0
         self.iterations = 0
 
     def slice(self) -> None:
         n_stamps = len(self.stamps.t)
+        f0 = host_factor(REF)
         t0 = perf_counter()
         result = self.trainer.run(self.images, self.data.labels,
                                   group_batch=GROUP_BATCH,
                                   n_iterations=SLICE_ITERATIONS,
                                   drift=[1.0] * GROUPS)
         self.elapsed += perf_counter() - t0
-        self.steps += np.diff([t0] + self.stamps.t[n_stamps:]).tolist()
+        steps = np.diff([t0] + self.stamps.t[n_stamps:]).tolist()
+        self.steps += steps
+        self.factors += [(f0 + host_factor(REF)) / 2.0] * len(steps)
         self.losses.append([tr.losses for tr in result.traces])
         self.iterations += SLICE_ITERATIONS
 
@@ -163,13 +172,16 @@ class Section:
         self.seed = seed
         self.work = work
         self.setup_times = []
+        self.setup_factors = []
         for _ in range(setups):
+            f0 = host_factor(REF)
             t0 = perf_counter()
             self.data = make_hep_dataset(N_EVENTS, image_size=IMAGE,
                                          seed=seed)
             # one warm-up slice: first-touch allocations land here
             _Training(seed, self.data).slice()
             self.setup_times.append(perf_counter() - t0)
+            self.setup_factors.append((f0 + host_factor(REF)) / 2.0)
         self.base = _Training(seed, self.data)
         self.rec = Recorder()
         self.traced = None
@@ -185,14 +197,17 @@ class Section:
     def finish(self, probes) -> dict:
         base = self.base
         steps = np.array(base.steps)
+        # in nominal-host seconds (common.host_factor); raw in provenance
+        nominal = steps / np.array(base.factors)
         flat = [l for s in base.losses for g in s for l in g]
         e2e = {
-            "setup_s": metric(self.setup_times, "s"),
-            # the fastest group iteration: the host's neighbours only ever
-            # slow a step down (the median is kept in the provenance line)
-            "train_images_per_s": metric(GROUP_BATCH / steps, "1/s",
-                                         value=GROUP_BATCH / steps.min()),
-            "train_step_p50_ms": metric(steps * 1e3, "ms"),
+            "setup_s": raw_of(metric(
+                np.array(self.setup_times) / np.array(self.setup_factors),
+                "s"), self.setup_times),
+            "train_images_per_s": raw_of(
+                metric(GROUP_BATCH / nominal, "1/s"), GROUP_BATCH / steps),
+            "train_step_p50_ms": raw_of(metric(nominal * 1e3, "ms"),
+                                        steps * 1e3),
         }
         n_layers = len(base.trainer.registry)
         checks = {
