@@ -41,7 +41,7 @@ class ReLU(Module):
         # Eval-mode forwards (inference serving) never run backward: don't
         # hold the activation-sized mask alive between requests.
         self._mask = mask if self.training else None
-        return np.where(mask, x, 0.0).astype(x.dtype)
+        return np.maximum(x, 0, dtype=x.dtype)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:

@@ -1,4 +1,12 @@
-"""2-D convolution layer (im2col + GEMM), with full backward pass."""
+"""2-D convolution layer (im2col + GEMM), with full backward pass.
+
+The lowering is Caffe's per-image one (see :mod:`repro.nn.im2col`): the
+forward is ``W(F, C*k*k) @ cols`` batched over the images, which lands
+directly in NCHW, and the backward needs no layout copies either.
+:func:`conv_backward` is the one conv backward in the package; every conv
+layer whose forward uses another algorithm (FFT, Winograd) calls it on the
+im2col columns of its cached input.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +19,26 @@ from repro.core.module import Module
 from repro.core.parameter import Parameter
 from repro.nn.im2col import col2im, conv_output_size, im2col
 from repro.utils.rng import SeedLike
+
+
+def conv_backward(layer: Module, grad_out: np.ndarray,
+                  x_shape: Tuple[int, int, int, int],
+                  cols: np.ndarray) -> np.ndarray:
+    """Backward of a convolution given its input's im2col ``cols``.
+
+    Accumulates ``layer.weight.grad`` (the batched ``g @ cols^T`` summed
+    over images) and ``layer.bias.grad``, and returns the input gradient
+    ``col2im(W^T @ g)``. ``layer`` supplies ``weight``, ``bias``,
+    ``out_channels``, ``kernel_size``, ``stride`` and ``pad``.
+    """
+    k, s, p = layer.kernel_size, layer.stride, layer.pad
+    g = grad_out.reshape(x_shape[0], layer.out_channels, -1)  # (N, F, oh*ow)
+    w_mat = layer.weight.data.reshape(layer.out_channels, -1)
+    layer.weight.grad += np.matmul(g, cols.transpose(0, 2, 1)).sum(
+        axis=0).reshape(layer.weight.data.shape)
+    layer.bias.grad += g.sum(axis=(0, 2))
+    grad_cols = np.matmul(w_mat.T, g)                 # (N, C*k*k, oh*ow)
+    return col2im(grad_cols, x_shape, k, k, s, p)
 
 
 class Conv2D(Module):
@@ -57,29 +85,20 @@ class Conv2D(Module):
         k, s, p = self.kernel_size, self.stride, self.pad
         oh = conv_output_size(h, k, s, p)
         ow = conv_output_size(w, k, s, p)
-        cols = im2col(x, k, k, s, p)                     # (N*oh*ow, C*k*k)
+        cols = im2col(x, k, k, s, p)                     # (N, C*k*k, oh*ow)
         w_mat = self.weight.data.reshape(self.out_channels, -1)
-        out = cols @ w_mat.T                             # (N*oh*ow, F)
-        out += self.bias.data
-        out = out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
+        out = np.matmul(w_mat, cols)                     # (N, F, oh*ow)
+        out += self.bias.data[:, None]
         # The im2col matrix is the layer's largest buffer; eval-mode forwards
         # (inference serving) never run backward, so don't hold it alive.
         self._cache = (x.shape, cols) if self.training else None
-        return np.ascontiguousarray(out)
+        return out.reshape(n, self.out_channels, oh, ow)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
         x_shape, cols = self._cache
-        n = x_shape[0]
-        k, s, p = self.kernel_size, self.stride, self.pad
-        # (N, F, oh, ow) -> (N*oh*ow, F)
-        g = grad_out.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-        w_mat = self.weight.data.reshape(self.out_channels, -1)
-        self.weight.grad += (g.T @ cols).reshape(self.weight.data.shape)
-        self.bias.grad += g.sum(axis=0)
-        grad_cols = g @ w_mat                            # (N*oh*ow, C*k*k)
-        return col2im(grad_cols, x_shape, k, k, s, p)
+        return conv_backward(self, grad_out, x_shape, cols)
 
     # -- parameters / accounting -------------------------------------------
     def params(self) -> List[Parameter]:

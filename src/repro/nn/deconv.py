@@ -4,11 +4,17 @@ Paper SIII-C: *"We used the fact that the convolutions in the backward pass
 can be used to compute the deconvolutions of the forward pass and vice-versa
 in order to develop optimized deconvolution implementations."*
 
-Concretely, with weights ``(in_channels, out_channels, kh, kw)``:
+Concretely, with weights ``(in_channels, out_channels, kh, kw)`` read as the
+matrix ``W(C_in, C_out*k*k)`` and each image ``x_n`` as ``(C_in, h*w)``:
 
-- deconv **forward**  == conv **backward-data** (a GEMM followed by col2im);
-- deconv **backward-data** == conv **forward** (im2col followed by a GEMM);
-- deconv **weight gradient** uses the same im2col columns as conv's.
+- deconv **forward**  == conv **backward-data**: ``W^T @ x_n`` followed by
+  ``col2im``;
+- deconv **backward-data** == conv **forward**: ``im2col`` followed by
+  ``W @ cols_n``;
+- deconv **weight gradient** is ``x_n @ cols_n^T`` summed over images.
+
+All three use the shared per-image, channel-major lowering of
+:mod:`repro.nn.im2col`, so no step transposes between NCHW and NHWC.
 
 This makes the deconv layers "perform very similarly to the corresponding
 convolution layers", which is the property Fig 5b relies on.
@@ -72,33 +78,31 @@ class Deconv2D(Module):
         k, s, p = self.kernel_size, self.stride, self.pad
         oh = deconv_output_size(h, k, s, p)
         ow = deconv_output_size(w, k, s, p)
-        # x as the "gradient" matrix: (N*h*w, C_in)
-        x_mat = x.transpose(0, 2, 3, 1).reshape(-1, self.in_channels)
+        # x as the "gradient" of the mirrored conv: (N, C_in, h*w)
+        x_mat = x.reshape(n, self.in_channels, h * w)
         w_mat = self.weight.data.reshape(self.in_channels, -1)
-        cols = x_mat @ w_mat                      # (N*h*w, C_out*k*k)
+        cols = np.matmul(w_mat.T, x_mat)          # (N, C_out*k*k, h*w)
         out = col2im(cols, (n, self.out_channels, oh, ow), k, k, s, p)
         out += self.bias.data[None, :, None, None]
         # As in Conv2D: eval-mode forwards never run backward, so don't pin
-        # the reshaped input matrix in memory.
-        self._cache = (x.shape, x_mat, (n, oh, ow)) if self.training else None
+        # the input in memory.
+        self._cache = (x.shape, x_mat) if self.training else None
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Conv forward applied as a backward op, plus the weight gradient."""
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
-        x_shape, x_mat, (n, oh, ow) = self._cache
+        x_shape, x_mat = self._cache
         k, s, p = self.kernel_size, self.stride, self.pad
-        g_cols = im2col(grad_out, k, k, s, p)     # (N*h*w, C_out*k*k)
+        g_cols = im2col(grad_out, k, k, s, p)     # (N, C_out*k*k, h*w)
         w_mat = self.weight.data.reshape(self.in_channels, -1)
         # Weight gradient couples the input activations with gathered grads.
-        self.weight.grad += (x_mat.T @ g_cols).reshape(self.weight.data.shape)
+        self.weight.grad += np.matmul(x_mat, g_cols.transpose(0, 2, 1)).sum(
+            axis=0).reshape(self.weight.data.shape)
         self.bias.grad += grad_out.sum(axis=(0, 2, 3))
-        grad_in = g_cols @ w_mat.T                # (N*h*w, C_in)
-        h_in, w_in = x_shape[2], x_shape[3]
-        return np.ascontiguousarray(
-            grad_in.reshape(n, h_in, w_in, self.in_channels)
-            .transpose(0, 3, 1, 2))
+        grad_in = np.matmul(w_mat, g_cols)        # (N, C_in, h*w)
+        return grad_in.reshape(x_shape)
 
     # -- parameters / accounting -------------------------------------------
     def params(self) -> List[Parameter]:
@@ -133,7 +137,7 @@ class GatherDeconv2D(Deconv2D):
     """Transposed convolution computed by gathering instead of scattering.
 
     The base :class:`Deconv2D` forward is GEMM + ``col2im``: overlapping
-    patch rows are *scattered* back into the output with ``k^2`` strided
+    patch columns are *scattered* back into the output with ``k^2`` strided
     accumulation passes — memory traffic that dominates the layer at large
     spatial sizes. This variant inverts the data flow: output pixels of each
     parity class ``(oy % s, ox % s)`` are produced by an ordinary *gather*
@@ -174,8 +178,8 @@ class GatherDeconv2D(Deconv2D):
                         continue
                     sub = wd[:, :, kis[0]::s, kjs[0]::s][:, :, ::-1, ::-1]
                     w_mat = np.ascontiguousarray(
-                        sub.transpose(0, 2, 3, 1)).reshape(
-                        -1, self.out_channels)
+                        sub.transpose(1, 0, 2, 3)).reshape(
+                        self.out_channels, -1)
                     packed.append((a, b, kis, kjs, w_mat))
             return packed
 
@@ -210,9 +214,8 @@ class GatherDeconv2D(Deconv2D):
                 xp[:, :, i0:i0 + toh + len(kis) - 1,
                    j0:j0 + tow + len(kjs) - 1],
                 len(kis), len(kjs), 1, 0)
-            out[:, :, a::s, b::s] = (
-                (cols @ w_mat).reshape(n, toh, tow, self.out_channels)
-                .transpose(0, 3, 1, 2))
+            out[:, :, a::s, b::s] = np.matmul(w_mat, cols).reshape(
+                n, self.out_channels, toh, tow)
         out += self.bias.data[None, :, None, None]
         self._cache = None
         return out
@@ -221,15 +224,17 @@ class GatherDeconv2D(Deconv2D):
 class TapDeconv2D(Deconv2D):
     """Transposed convolution with a transposed-layout scatter.
 
-    The base :class:`Deconv2D` scatters a ``(M, C_out*k*k)`` GEMM result
-    with ``col2im``, whose accumulation passes read ``C_out``-float chunks
-    at a ``C_out*k*k`` stride — cache-hostile when the spatial extent is
-    large. This variant computes the *transposed* GEMM
+    This variant computes the *transposed* GEMM
     ``(k*k*C_out, C_in) x (C_in, M)`` so each kernel tap's contribution is a
     contiguous ``(C_out, N, h, w)`` block, then accumulates the ``k^2`` taps
-    with wide contiguous rows. Identical arithmetic (the GEMM reduction
-    order is unchanged, only the output layout moves), so it matches the
-    base layer to fp32 tolerance; eval-only like
+    with wide contiguous rows. It was written against an older base layer
+    whose ``col2im`` read ``C_out``-float chunks at a ``C_out*k*k`` stride.
+    The base :class:`Deconv2D` now uses the per-image, channel-major
+    lowering, whose GEMM already yields one contiguous block per tap and
+    whose scatter moves whole rows, so this variant no longer has a layout
+    advantage over it; it is kept only until a simplification pass removes
+    it. Identical arithmetic (only the output layout moves), so it matches
+    the base layer to fp32 tolerance; eval-only like
     :class:`GatherDeconv2D` — training-mode forwards and backward use the
     base implementation.
     """

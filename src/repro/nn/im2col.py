@@ -7,8 +7,20 @@ plays the role of MKL. ``im2col`` is built on a zero-copy strided view
 small loop over the kernel footprint — both idioms straight from the
 "advanced NumPy" optimization playbook.
 
-Layout convention: images are ``(N, C, H, W)``; columns are
-``(N * out_h * out_w, C * kh * kw)`` so a conv is ``cols @ W.T``.
+Layout convention: images are ``(N, C, H, W)``; columns are Caffe's
+per-image, channel-major ``(N, C * kh * kw, out_h * out_w)``. Why this
+layout and not the patch-row ``(N * out_h * out_w, C * kh * kw)`` one:
+
+- a conv forward is ``W(F, C*k*k) @ cols`` batched over ``N``, whose
+  ``(N, F, out_h * out_w)`` result already *is* the NCHW output;
+- the backward reads ``grad_out`` as ``(N, F, out_h * out_w)`` with a
+  reshape, not a transpose copy; the weight gradient is the batched
+  ``g @ cols^T`` summed over ``N`` and the data gradient is ``W^T @ g``;
+- the gather and the scatter move whole ``out_w``-long rows per kernel tap,
+  so both stream through memory instead of striding by ``C * k * k``.
+
+Every conv-like layer (``Conv2D``, ``FFTConv2D``, ``WinogradConv2D``'s
+backward, ``Deconv2D`` and its variants) uses these two functions.
 """
 
 from __future__ import annotations
@@ -40,26 +52,27 @@ def deconv_output_size(size: int, k: int, stride: int, pad: int) -> int:
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int,
            pad: int) -> np.ndarray:
-    """Lower ``(N, C, H, W)`` into ``(N*oh*ow, C*kh*kw)`` patch rows."""
+    """Lower ``(N, C, H, W)`` into ``(N, C*kh*kw, oh*ow)`` patch columns."""
     n, c, h, w = x.shape
     oh = conv_output_size(h, kh, stride, pad)
     ow = conv_output_size(w, kw, stride, pad)
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     sn, sc, sh, sw = x.strides
-    # View of shape (N, oh, ow, C, kh, kw): no data copied until reshape.
+    # View of shape (N, C, kh, kw, oh, ow): no data copied until reshape.
     view = np.lib.stride_tricks.as_strided(
         x,
-        shape=(n, oh, ow, c, kh, kw),
-        strides=(sn, sh * stride, sw * stride, sc, sh, sw),
+        shape=(n, c, kh, kw, oh, ow),
+        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
         writeable=False,
     )
-    return view.reshape(n * oh * ow, c * kh * kw)
+    return view.reshape(n, c * kh * kw, oh * ow)
 
 
 def col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int], kh: int,
            kw: int, stride: int, pad: int) -> np.ndarray:
-    """Inverse scatter of :func:`im2col`: accumulate patch rows back to an image.
+    """Inverse scatter of :func:`im2col`: accumulate patch columns back to an
+    image.
 
     Overlapping patches sum, which is exactly the adjoint of the im2col
     gather — this is the conv backward-data operation, and (via the paper's
@@ -68,10 +81,10 @@ def col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int], kh: int,
     n, c, h, w = x_shape
     oh = conv_output_size(h, kh, stride, pad)
     ow = conv_output_size(w, kw, stride, pad)
-    expected = (n * oh * ow, c * kh * kw)
+    expected = (n, c * kh * kw, oh * ow)
     if cols.shape != expected:
         raise ValueError(f"cols shape {cols.shape} != expected {expected}")
-    cols6 = cols.reshape(n, oh, ow, c, kh, kw)
+    cols6 = cols.reshape(n, c, kh, kw, oh, ow)
     out = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
     # Loop only over the (small) kernel footprint; each iteration is a fully
     # vectorized strided add over all patch positions.
@@ -79,8 +92,7 @@ def col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int], kh: int,
         i_end = i + stride * oh
         for j in range(kw):
             j_end = j + stride * ow
-            out[:, :, i:i_end:stride, j:j_end:stride] += \
-                cols6[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+            out[:, :, i:i_end:stride, j:j_end:stride] += cols6[:, :, i, j]
     if pad:
         out = out[:, :, pad:-pad, pad:-pad]
     return out

@@ -8,7 +8,7 @@ the all-reduce payload (one of the paper's stated contributions).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -36,25 +36,25 @@ class MaxPool2D(Module):
         k = self.kernel_size
         return self.stride == k and h % k == 0 and w % k == 0
 
+    def _taps(self, x: np.ndarray) -> List[np.ndarray]:
+        """The k^2 window taps of the non-overlapping path, as views."""
+        k = self.kernel_size
+        return [x[:, :, i::k, j::k] for i in range(k) for j in range(k)]
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
         k, s = self.kernel_size, self.stride
         if self._is_fast_path(h, w):
-            # Non-overlapping: reshape into (N, C, oh, k, ow, k) blocks.
-            blocks = x.reshape(n, c, h // k, k, w // k, k)
-            out = blocks.max(axis=(3, 5))
-            if self.training:
-                # Mask of winners for backward (ties split gradient evenly
-                # is NOT what Caffe does; Caffe routes to the first max. We
-                # route to all maxima scaled by multiplicity for a correct
-                # adjoint). Eval forwards skip the construction entirely —
-                # it is an input-sized allocation serving never uses.
-                expanded = out[:, :, :, None, :, None]
-                mask = (blocks == expanded)
-                counts = mask.sum(axis=(3, 5), keepdims=True)
-                self._cache = ("fast", x.shape, mask, counts)
-            else:
-                self._cache = None
+            # Non-overlapping: the maximum of the k^2 strided tap views,
+            # each an (N, C, oh, ow) view of every k-th row and column.
+            # Same values, bit for bit, as a max over (oh, k, ow, k) blocks.
+            taps = self._taps(x)
+            out = taps[0].copy()
+            for tap in taps[1:]:
+                np.maximum(out, tap, out=out)
+            # The backward rebuilds the winners from the input and output;
+            # eval forwards (serving) hold neither.
+            self._cache = ("fast", x, out) if self.training else None
             return out
         # General (overlapping / ragged) path via explicit windows.
         oh = conv_output_size(h, k, s, 0)
@@ -75,10 +75,18 @@ class MaxPool2D(Module):
             raise RuntimeError(f"{self.name}: backward called before forward")
         k, s = self.kernel_size, self.stride
         if self._cache[0] == "fast":
-            _, x_shape, mask, counts = self._cache
-            n, c, h, w = x_shape
-            g = grad_out[:, :, :, None, :, None] / counts
-            grad_in = (mask * g).reshape(n, c, h, w)
+            # Ties split the gradient by multiplicity, which keeps this the
+            # exact adjoint (Caffe instead routes it to the first maximum).
+            # The count is float32, so a float32 gradient stays float32.
+            _, x, out = self._cache
+            wins = [tap == out for tap in self._taps(x)]
+            counts = wins[0].astype(np.float32)
+            for win in wins[1:]:
+                counts += win
+            g = grad_out / counts
+            grad_in = np.empty(x.shape, dtype=g.dtype)
+            for win, dst in zip(wins, self._taps(grad_in)):
+                np.multiply(win, g, out=dst)
             return grad_in
         _, x_shape, arg, (oh, ow) = self._cache
         n, c, h, w = x_shape

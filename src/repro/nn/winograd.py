@@ -20,8 +20,9 @@ becomes alpha^2 batched (F, C) x (C, tiles) GEMMs — one per transform-domain
 position.
 
 The layer is a drop-in replacement for a 3x3/stride-1 :class:`Conv2D`:
-identical parameters, identical gradients (backward uses the standard
-im2col path — gradient math does not depend on the forward algorithm), and
+identical parameters, identical gradients (backward is
+:func:`repro.nn.conv.conv_backward` on the im2col columns — gradient math
+does not depend on the forward algorithm), and
 a forward pass that agrees with the direct computation to fp32 tolerance.
 """
 
@@ -34,7 +35,8 @@ import numpy as np
 from repro.core.initializers import he_normal, zeros
 from repro.core.module import Module
 from repro.core.parameter import Parameter
-from repro.nn.im2col import col2im, im2col
+from repro.nn.conv import conv_backward
+from repro.nn.im2col import im2col
 from repro.nn.kernel_cache import PackedWeightCache
 
 # Winograd F(2x2, 3x3) transform matrices (Lavin & Gray 2015, sec. 4.1).
@@ -226,17 +228,12 @@ class WinogradConv2D(Module):
         return np.ascontiguousarray(out.astype(np.float32))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Standard conv backward on the cached input (im2col path)."""
+        """The shared conv backward on the cached input's im2col columns."""
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward called before forward")
         (x,) = self._cache
-        cols = im2col(x, 3, 3, 1, self.pad)
-        g = grad_out.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-        w_mat = self.weight.data.reshape(self.out_channels, -1)
-        self.weight.grad += (g.T @ cols).reshape(self.weight.data.shape)
-        self.bias.grad += g.sum(axis=0)
-        grad_cols = g @ w_mat
-        return col2im(grad_cols, x.shape, 3, 3, 1, self.pad)
+        return conv_backward(self, grad_out, x.shape,
+                             im2col(x, 3, 3, 1, self.pad))
 
     # -- parameters / accounting -------------------------------------------
     def params(self) -> List[Parameter]:

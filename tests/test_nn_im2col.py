@@ -41,30 +41,34 @@ class TestOutputSizes:
 
 
 class TestIm2Col:
+    """Columns are per image, channel-major: ``cols[n, (c, i, j), (y, x)]``
+    is pixel ``(y*stride + i - pad, x*stride + j - pad)`` of channel ``c``,
+    so patch ``p`` of image ``n`` is the column ``cols[n, :, p]``."""
+
     def test_shape(self):
         x = np.arange(2 * 3 * 5 * 5, dtype=np.float32).reshape(2, 3, 5, 5)
         cols = im2col(x, 3, 3, 1, 1)
-        assert cols.shape == (2 * 5 * 5, 3 * 9)
+        assert cols.shape == (2, 3 * 9, 5 * 5)
 
     def test_center_patch_values(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
         cols = im2col(x, 3, 3, 1, 0)
         # first patch = rows 0-2, cols 0-2
         expected = x[0, 0, 0:3, 0:3].reshape(-1)
-        np.testing.assert_array_equal(cols[0], expected)
+        np.testing.assert_array_equal(cols[0, :, 0], expected)
 
     def test_padding_zeros(self):
         x = np.ones((1, 1, 3, 3), dtype=np.float32)
         cols = im2col(x, 3, 3, 1, 1)
         # corner patch includes 5 padded zeros
-        assert cols[0].sum() == 4.0
+        assert cols[0, :, 0].sum() == 4.0
 
     def test_stride_skips(self):
         x = np.arange(36, dtype=np.float32).reshape(1, 1, 6, 6)
         cols = im2col(x, 2, 2, 2, 0)
-        assert cols.shape == (9, 4)
-        np.testing.assert_array_equal(cols[0], [0, 1, 6, 7])
-        np.testing.assert_array_equal(cols[1], [2, 3, 8, 9])
+        assert cols.shape == (1, 4, 9)
+        np.testing.assert_array_equal(cols[0, :, 0], [0, 1, 6, 7])
+        np.testing.assert_array_equal(cols[0, :, 1], [2, 3, 8, 9])
 
 
 class TestCol2Im:
@@ -80,7 +84,7 @@ class TestCol2Im:
         # all-ones columns scatter to per-pixel patch-coverage counts:
         # 4x4 input, 3x3 kernel, pad 0 -> 2x2 patches
         x_shape = (1, 1, 4, 4)
-        cols = np.ones((4, 9), dtype=np.float32)
+        cols = np.ones((1, 9, 4), dtype=np.float32)
         img = col2im(cols, x_shape, 3, 3, 1, 0)
         # corner covered by one patch; center pixels by all four
         assert img[0, 0, 0, 0] == 1.0
